@@ -34,9 +34,10 @@ HdpllSolver::HdpllSolver(const ir::Circuit& circuit, HdpllOptions options)
       engine_(circuit),
       db_(circuit),
       heap_(circuit.num_nets()),
-      // &stop_ is stable (member address); its value is filled in by
-      // solve() when the timeout is merged in.
-      fme_(fme::SolveOptions{.tracer = options.tracer, .stop = &stop_}),
+      // &stop_ and &stats_ are stable (member addresses); stop_'s value is
+      // filled in by solve() when the timeout is merged in.
+      fme_(fme::SolveOptions{
+          .tracer = options.tracer, .stop = &stop_, .stats = &stats_}),
       stop_(options.stop),
       rng_(options.random_seed),
       phase_(circuit.num_nets(), false),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace rtlsat::fme {
@@ -10,26 +11,6 @@ namespace rtlsat::fme {
 namespace {
 
 using I128 = __int128;
-
-I128 abs128(I128 v) { return v < 0 ? -v : v; }
-
-I128 gcd128(I128 a, I128 b) {
-  a = abs128(a);
-  b = abs128(b);
-  while (b != 0) {
-    const I128 r = a % b;
-    a = b;
-    b = r;
-  }
-  return a;
-}
-
-// Floor division for b > 0 (C++ '/' truncates toward zero).
-I128 floor_div(I128 a, I128 b) {
-  I128 q = a / b;
-  if (a % b != 0 && a < 0) --q;
-  return q;
-}
 
 // A constraint as the certifier tracks it: Σ coeff·var ≤ bound in exact
 // 128-bit arithmetic, plus the proof reference that justifies it.
@@ -176,7 +157,7 @@ class Certifier {
     // small across elimination rounds.
     if (!out->terms.empty()) {
       I128 g = 0;
-      for (const auto& [var, coeff] : out->terms) g = gcd128(g, coeff);
+      for (const auto& [var, coeff] : out->terms) g = gcd(g, coeff);
       if (g > 1) {
         if (cert_.steps.size() >= options_.max_steps)
           return fail("step budget exhausted");
@@ -202,24 +183,6 @@ class Certifier {
     sources.reserve(owned.size());
     for (const WorkCon& w : owned) sources.push_back(&w);
     return emit_comb(combo, sources, out);
-  }
-
-  // Extreme of Σ coeff·var over the bounds box (max when `maximize`, min
-  // otherwise). False on overflow, in which case the caller must not use
-  // the test — the row simply goes through the full elimination instead.
-  static bool box_extreme(const std::vector<std::pair<Var, I128>>& terms,
-                          const std::vector<std::pair<I128, I128>>& bounds,
-                          bool maximize, I128* out) {
-    I128 acc = 0;
-    for (const auto& [var, coeff] : terms) {
-      const I128 pick =
-          (coeff > 0) == maximize ? bounds[var].second : bounds[var].first;
-      I128 prod = 0;
-      if (__builtin_mul_overflow(coeff, pick, &prod)) return false;
-      if (__builtin_add_overflow(acc, prod, &acc)) return false;
-    }
-    *out = acc;
-    return true;
   }
 
   // The row's minimum over the bounds box exceeds its bound: cancel every
@@ -262,7 +225,7 @@ class Certifier {
   static std::pair<std::vector<std::pair<Var, I128>>, I128> norm_row(
       std::vector<std::pair<Var, I128>> terms, I128 bound) {
     I128 g = 0;
-    for (const auto& [var, coeff] : terms) g = gcd128(g, coeff);
+    for (const auto& [var, coeff] : terms) g = gcd(g, coeff);
     if (g > 1) {
       for (auto& [var, coeff] : terms) coeff /= g;
       bound = floor_div(bound, g);
@@ -291,24 +254,24 @@ class Certifier {
       changed = false;
       std::vector<WorkCon> kept;
       for (WorkCon& c : work) {
-        I128 lo = 0;
-        const bool have_lo =
-            box_extreme(c.terms, bounds, /*maximize=*/false, &lo);
-        if (have_lo && lo > c.bound) return close_by_bounds(c, bounds, brefs);
-        I128 hi = 0;
-        if (box_extreme(c.terms, bounds, /*maximize=*/true, &hi) &&
-            hi <= c.bound)
-          continue;  // implied by the box: drop without a step
+        // An extreme that overflows skips its test: the row then simply
+        // goes through the full elimination.
+        const std::optional<I128> lo =
+            box_extreme(c.terms, bounds, /*maximize=*/false);
+        if (lo && *lo > c.bound) return close_by_bounds(c, bounds, brefs);
+        const std::optional<I128> hi =
+            box_extreme(c.terms, bounds, /*maximize=*/true);
+        if (hi && *hi <= c.bound) continue;  // box-implied: drop, no step
         for (const auto& [t, ct] : c.terms) {
           // room = bound − min of the other terms over the (current) box.
           std::vector<std::pair<Var, I128>> rest;
           for (const auto& term : c.terms)
             if (term.first != t) rest.push_back(term);
-          I128 rest_min = 0;
-          if (!box_extreme(rest, bounds, /*maximize=*/false, &rest_min))
-            continue;
+          const std::optional<I128> rest_min =
+              box_extreme(rest, bounds, /*maximize=*/false);
+          if (!rest_min) continue;
           I128 room = 0;
-          if (__builtin_sub_overflow(c.bound, rest_min, &room)) continue;
+          if (__builtin_sub_overflow(c.bound, *rest_min, &room)) continue;
           const I128 nb =
               ct > 0 ? floor_div(room, ct) : -floor_div(room, -ct);
           // Only spend a step on a strict improvement.
@@ -432,7 +395,7 @@ class Certifier {
             if (var == v) a = cf;
           for (const auto& [var, cf] : q->terms)
             if (var == v) b = -cf;
-          const I128 g = gcd128(a, b);
+          const I128 g = gcd(a, b);
           const std::vector<std::pair<ProofRef, I128>> combo{
               {p->ref, b / g}, {q->ref, a / g}};
           // Inspect the candidate before emitting: rows implied by the
@@ -448,15 +411,14 @@ class Certifier {
             return true;  // contradiction: scope closed
           }
           auto [key, nbound] = norm_row(cterms, cbound);
-          I128 lo = 0, hi = 0;
-          const bool have_lo = box_extreme(key, bounds, false, &lo);
-          const bool have_hi = box_extreme(key, bounds, true, &hi);
-          if (have_hi && hi <= nbound) continue;  // box-implied: redundant
+          const std::optional<I128> lo = box_extreme(key, bounds, false);
+          const std::optional<I128> hi = box_extreme(key, bounds, true);
+          if (hi && *hi <= nbound) continue;  // box-implied: redundant
           const auto it = strongest.find(key);
           if (it != strongest.end() && it->second <= nbound) continue;
           WorkCon derived;
           if (!emit_comb(combo, {p, q}, &derived)) return false;
-          if (have_lo && lo > nbound)
+          if (lo && *lo > nbound)
             return close_by_bounds(derived, bounds, brefs);
           strongest[std::move(key)] = nbound;
           next.push_back(std::move(derived));

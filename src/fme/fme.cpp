@@ -25,18 +25,9 @@ bool fits64(I128 v) {
 // later 128-bit bound arithmetic cannot overflow.
 constexpr I128 kBoundCap = I128{1} << 100;
 
-I128 div_floor(I128 a, I128 b) {
-  RTLSAT_ASSERT(b > 0);
-  I128 q = a / b;
-  if (a % b != 0 && a < 0) --q;
-  return q;
-}
-I128 div_ceil(I128 a, I128 b) {
-  RTLSAT_ASSERT(b > 0);
-  I128 q = a / b;
-  if (a % b != 0 && a > 0) ++q;
-  return q;
-}
+// Row combinations between two stop-token polls during elimination, which
+// keeps the deadline's clock read off the per-combination path.
+constexpr std::uint64_t kStopPollRows = 1024;
 
 // Tightening a variable to "v ≤ q" / "v ≥ q" where q came out of a 128-bit
 // division: a quotient past int64 can never bind an int64-bounded domain
@@ -67,7 +58,8 @@ struct Elimination {
   std::vector<LinearConstraint> lowers;  // negative coefficient on var
 };
 
-enum class ShadowResult { kFeasible, kInfeasible, kBlowup };
+// kStopped: the stop token fired mid-elimination; no verdict either way.
+enum class ShadowResult { kFeasible, kInfeasible, kBlowup, kStopped };
 
 class Eliminator {
  public:
@@ -91,8 +83,8 @@ class Eliminator {
     if (!drop_ground()) return ShadowResult::kInfeasible;
 
     while (!remaining_.empty()) {
-      const Var v = pick_variable();
-      if (!eliminate(v)) return ShadowResult::kInfeasible;
+      const ShadowResult r = eliminate(pick_variable());
+      if (r != ShadowResult::kFeasible) return r;
       if (work_.size() > options_.max_constraints)
         return ShadowResult::kBlowup;
     }
@@ -100,6 +92,10 @@ class Eliminator {
   }
 
   bool all_exact() const { return all_exact_; }
+  bool overflowed() const { return overflow_; }
+  // Combined rows kept in the working set / dropped as implied by the box.
+  std::int64_t rows_derived() const { return rows_derived_; }
+  std::int64_t rows_box_implied() const { return rows_box_implied_; }
 
   // Assigns the eliminated variables in reverse order; unassigned entries in
   // `model` must be pre-set for variables outside this component.
@@ -114,7 +110,7 @@ class Eliminator {
         for (const Term& t : c.terms) {
           if (t.var != it->var) rest += static_cast<I128>(t.coeff) * model[t.var];
         }
-        hi = std::min(hi, div_floor(c.bound - rest, a));
+        hi = std::min(hi, floor_div(c.bound - rest, a));
       }
       for (const auto& c : it->lowers) {  // −b·v + rest ≤ bound, b > 0
         const Coeff b = -c.coeff_of(it->var);
@@ -122,7 +118,7 @@ class Eliminator {
         for (const Term& t : c.terms) {
           if (t.var != it->var) rest += static_cast<I128>(t.coeff) * model[t.var];
         }
-        lo = std::max(lo, div_ceil(rest - c.bound, b));
+        lo = std::max(lo, ceil_div(rest - c.bound, b));
       }
       if (lo > hi) return false;  // real shadow was hollow here
       model[it->var] = static_cast<Coeff>(lo);  // in [bounds.lo, hi] ⊆ int64
@@ -141,17 +137,18 @@ class Eliminator {
     return true;
   }
 
-  Var pick_variable() const {
+  // The remaining variable with the fewest pos×neg combinations; ties go
+  // to the first in remaining_. One pass over the working set.
+  Var pick_variable() {
+    pos_.assign(problem_.bounds.size(), 0);
+    neg_.assign(problem_.bounds.size(), 0);
+    for (const auto& c : work_) {
+      for (const Term& t : c.terms) ++(t.coeff > 0 ? pos_ : neg_)[t.var];
+    }
     Var best = remaining_.front();
     std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
     for (Var v : remaining_) {
-      std::uint64_t pos = 0, neg = 0;
-      for (const auto& c : work_) {
-        const Coeff a = c.coeff_of(v);
-        if (a > 0) ++pos;
-        if (a < 0) ++neg;
-      }
-      const std::uint64_t cost = pos * neg;
+      const std::uint64_t cost = pos_[v] * neg_[v];
       if (cost < best_cost) {
         best_cost = cost;
         best = v;
@@ -160,7 +157,14 @@ class Eliminator {
     return best;
   }
 
-  bool eliminate(Var v) {
+  // Eliminates v: kFeasible to go on, kInfeasible on a violated ground row
+  // or an overflow (overflowed() tells them apart), kStopped on the token.
+  //
+  // A combined row that the bounds box implies is dropped: every remaining
+  // variable's two bound rows are still in work_, so the row is implied by
+  // work_ itself and removing it leaves every later shadow (real or dark)
+  // and every back-substituted model the same.
+  ShadowResult eliminate(Var v) {
     Elimination step;
     step.var = v;
     std::vector<LinearConstraint> rest;
@@ -179,21 +183,28 @@ class Eliminator {
     for (const auto& up : step.uppers) {
       const Coeff a = up.coeff_of(v);
       for (const auto& low : step.lowers) {
+        if (options_.stop != nullptr && ++since_poll_ % kStopPollRows == 0 &&
+            options_.stop->stop_requested())
+          return ShadowResult::kStopped;
         const Coeff b = -low.coeff_of(v);
         if (a != 1 && b != 1) all_exact_ = false;
         LinearConstraint combined;
-        if (!combine(up, low, v, a, b, combined)) return false;  // overflow → treat as infeasible at this level? no:
+        if (!combine(up, low, v, a, b, combined))
+          return ShadowResult::kInfeasible;  // overflow_ is set
         combined.normalize();
         if (combined.is_ground()) {
-          if (!combined.ground_holds()) return false;
+          if (!combined.ground_holds()) return ShadowResult::kInfeasible;
+        } else if (box_implied(combined, problem_.bounds)) {
+          ++rows_box_implied_;
         } else {
+          ++rows_derived_;
           work_.push_back(std::move(combined));
         }
       }
     }
     std::erase(remaining_, v);
     steps_.push_back(std::move(step));
-    return true;
+    return ShadowResult::kFeasible;
   }
 
   // combined = b·up + a·low with the v terms cancelling; dark shadow
@@ -235,16 +246,16 @@ class Eliminator {
     return true;
   }
 
- public:
-  bool overflowed() const { return overflow_; }
-
- private:
   const Problem& problem_;
   const bool dark_;
   const SolveOptions& options_;
   std::vector<LinearConstraint> work_;
   std::vector<Var> remaining_;
   std::vector<Elimination> steps_;
+  std::vector<std::uint64_t> pos_, neg_;  // pick_variable() scratch
+  std::uint64_t since_poll_ = 0;
+  std::int64_t rows_derived_ = 0;
+  std::int64_t rows_box_implied_ = 0;
   bool all_exact_ = true;
   bool overflow_ = false;
 };
@@ -270,9 +281,9 @@ bool presolve(Problem& problem) {
         Interval& b = problem.bounds[t.var];
         const Interval before = b;
         if (t.coeff > 0) {
-          b = clamp_at_most(b, div_floor(c.bound, t.coeff));
+          b = clamp_at_most(b, floor_div(c.bound, t.coeff));
         } else {
-          b = clamp_at_least(b, div_ceil(-c.bound, -t.coeff));
+          b = clamp_at_least(b, ceil_div(-c.bound, -t.coeff));
         }
         if (b.is_empty()) return false;
         if (b != before) changed = true;
@@ -291,9 +302,9 @@ bool presolve(Problem& problem) {
         Interval& b = problem.bounds[t.var];
         const Interval before = b;
         if (t.coeff > 0) {
-          b = clamp_at_most(b, div_floor(room, t.coeff));
+          b = clamp_at_most(b, floor_div(room, t.coeff));
         } else {
-          b = clamp_at_least(b, div_ceil(-room, -t.coeff));
+          b = clamp_at_least(b, ceil_div(-room, -t.coeff));
         }
         if (b.is_empty()) return false;
         if (b != before) changed = true;
@@ -346,10 +357,8 @@ class Driver {
 
   Result solve(Problem problem, std::vector<std::int64_t>& model, int depth) {
     stats_.add("fme.calls", 1);
-    if (options_.stop != nullptr && options_.stop->stop_requested()) {
-      stats_.add("fme.stopped", 1);
-      return Result::kUnknown;
-    }
+    if (options_.stop != nullptr && options_.stop->stop_requested())
+      return stopped();
     if (depth > options_.max_splinter_depth) {
       // Should be unreachable (domains are finite); fail safe on the sound
       // side for UNSAT claims by exhaustively enumerating would be
@@ -400,7 +409,8 @@ class Driver {
     // Real shadow first: its infeasibility is an exact UNSAT answer.
     Eliminator real(problem, /*dark=*/false, options_);
     const ShadowResult real_result = real.run();
-    stats_.add("fme.real_runs", 1);
+    count_run(real, "fme.real_runs");
+    if (real_result == ShadowResult::kStopped) return stopped();
     if (real_result == ShadowResult::kInfeasible && !real.overflowed())
       return Result::kUnsat;
     if (real_result == ShadowResult::kFeasible && real.all_exact()) {
@@ -412,7 +422,8 @@ class Driver {
       // Try the dark shadow: feasibility here is an exact SAT answer.
       Eliminator dark(problem, /*dark=*/true, options_);
       const ShadowResult dark_result = dark.run();
-      stats_.add("fme.dark_runs", 1);
+      count_run(dark, "fme.dark_runs");
+      if (dark_result == ShadowResult::kStopped) return stopped();
       if (dark_result == ShadowResult::kFeasible &&
           dark.extract_model(model) && verify(problem, model)) {
         return Result::kSat;
@@ -420,6 +431,17 @@ class Driver {
     }
     // Undecided: splinter on some variable.
     return splinter(problem, model, depth);
+  }
+
+  void count_run(const Eliminator& run, const char* runs_counter) {
+    stats_.add(runs_counter, 1);
+    stats_.add("fme.rows_derived", run.rows_derived());
+    stats_.add("fme.rows_box_implied", run.rows_box_implied());
+  }
+
+  Result stopped() {
+    stats_.add("fme.stopped", 1);
+    return Result::kUnknown;
   }
 
   Result splinter(const Problem& problem, std::vector<std::int64_t>& model,
@@ -504,7 +526,8 @@ Result Solver::solve(const System& system, std::vector<std::int64_t>* model) {
   for (auto& c : problem.constraints) c.normalize();
 
   std::vector<std::int64_t> scratch(system.num_vars(), 0);
-  Driver driver(options_, stats_);
+  Driver driver(options_,
+                options_.stats != nullptr ? *options_.stats : stats_);
   const std::size_t num_constraints = problem.constraints.size();
   const Result result = driver.solve(std::move(problem), scratch, 0);
   if (result == Result::kSat && model != nullptr) *model = std::move(scratch);

@@ -53,9 +53,14 @@ struct SolveOptions {
   // Null ⟹ trace::global() (a no-op unless RTLSAT_TRACE is set).
   trace::Tracer* tracer = nullptr;
   // Cooperative cancellation / deadline, polled at every splinter-recursion
-  // entry so FME-heavy end-games respect the solver timeout and portfolio
+  // entry and every 1024 row combinations inside an elimination, so
+  // FME-heavy end-games respect the solver timeout and portfolio
   // cancellation. Null = never stop. Borrowed; must outlive the solver.
   const StopToken* stop = nullptr;
+  // Registry the fme.* counters go to, typically the owning solver's, so
+  // FME work shows up next to the search counters. Null = the solver's own
+  // registry. Borrowed; must outlive the solver.
+  Stats* stats = nullptr;
 };
 
 class Solver {
@@ -66,7 +71,10 @@ class Solver {
   // integer solution (size = system.num_vars(), in-bounds, verified).
   Result solve(const System& system, std::vector<std::int64_t>* model);
 
-  const Stats& stats() const { return stats_; }
+  // The registry the counters went to (SolveOptions::stats or our own).
+  const Stats& stats() const {
+    return options_.stats != nullptr ? *options_.stats : stats_;
+  }
 
  private:
   SolveOptions options_;

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "fme/linear.h"
 #include "interval/interval.h"
 #include "interval/interval_ops.h"
 #include "proof/check_rules.h"
@@ -104,12 +105,6 @@ bool i128_mul(Int128 a, Int128 b, Int128* out) {
 }
 bool i128_add(Int128 a, Int128 b, Int128* out) {
   return !__builtin_add_overflow(a, b, out);
-}
-
-Int128 floor_div_i128(Int128 a, Int128 b) {  // b > 0
-  Int128 q = a / b;
-  if (a % b != 0 && a < 0) --q;
-  return q;
 }
 
 // ---------------------------------------------------------------------------
@@ -942,7 +937,7 @@ bool Checker::verify_fme(const FmeData& f, const std::vector<Interval>& s) {
             return step_fail("divisor does not divide a coefficient");
           out.terms[var] = coeff / st.divisor;
         }
-        out.bound = floor_div_i128(part.bound, st.divisor);
+        out.bound = fme::floor_div(part.bound, st.divisor);
         push_derived(std::move(out));
         break;
       }

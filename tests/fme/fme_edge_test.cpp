@@ -113,5 +113,20 @@ TEST(FmeEdge, StatsExported) {
   EXPECT_GT(solver.stats().get("fme.calls"), 0);
 }
 
+TEST(FmeEdge, StatsGoToTheOwnersRegistry) {
+  System s;
+  const Var x = s.add_var(Interval(0, 10));
+  const Var y = s.add_var(Interval(0, 10));
+  s.add_le({{x, 1}, {y, 1}}, 7);
+  Stats owner;
+  owner.add("hdpll.decisions", 3);
+  Solver solver(SolveOptions{.stats = &owner});
+  ASSERT_EQ(solver.solve(s, nullptr), Result::kSat);
+  EXPECT_EQ(&solver.stats(), &owner);
+  EXPECT_EQ(owner.get("fme.calls"), 1);
+  EXPECT_EQ(owner.get("fme.real_runs"), 1);
+  EXPECT_EQ(owner.get("hdpll.decisions"), 3);  // untouched
+}
+
 }  // namespace
 }  // namespace rtlsat::fme

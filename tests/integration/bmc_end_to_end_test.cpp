@@ -3,6 +3,8 @@
 // bounds. This is the pipeline every bench row runs through.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bitblast/bitblast.h"
 #include "bmc/unroll.h"
 #include "core/hdpll.h"
@@ -16,6 +18,13 @@ struct InstanceCase {
   const char* property;
   int bound;
 };
+
+// Without a printer gtest shows the case as raw bytes, pointer values
+// included, and ctest copies that text into the test name, so the name
+// would change from one build or run to the next.
+void PrintTo(const InstanceCase& c, std::ostream* os) {
+  *os << '{' << c.circuit << ", " << c.property << ", " << c.bound << '}';
+}
 
 class BmcEndToEnd : public ::testing::TestWithParam<InstanceCase> {};
 
