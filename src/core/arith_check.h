@@ -15,13 +15,14 @@
 
 namespace rtlsat::core {
 
-// Proof-logging side channel: the extracted system plus the metadata a
-// certificate needs to re-derive it — which solver net each FME variable
-// stands for (auxiliaries carry the node that introduced them instead) and
-// which node's encoding produced each constraint row. Filled only on an
-// UNSAT verdict.
+// Proof-logging side channel: the extracted system, the FME solver's
+// refutation of it, and the metadata a certificate needs to re-derive the
+// system — which solver net each FME variable stands for (auxiliaries carry
+// the node that introduced them instead) and which node's encoding produced
+// each constraint row. Filled only on an UNSAT verdict.
 struct ArithCertCapture {
   fme::System system;
+  fme::Certificate refutation;
   struct VarInfo {
     bool is_net = false;
     std::uint32_t id = 0;  // net id, or the owning node for an auxiliary

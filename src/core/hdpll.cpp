@@ -439,8 +439,6 @@ SolveResult HdpllSolver::solve(
     }
     stats_.add("proof.records", options_.proof->records());
     stats_.add("proof.bytes", options_.proof->bytes());
-    stats_.add("proof.fme_certify_failures",
-               proof_log_->fme_certify_failures());
   }
   // Publish the tail of the export batch — without this a worker that
   // never restarts would strand its last few clauses in the endpoint.

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "fme/certify.h"
 #include "ir/circuit.h"
 #include "util/assert.h"
 
@@ -45,6 +44,19 @@ std::vector<proof::WordLit> to_lits(const std::vector<HybridLit>& lits) {
   out.reserve(lits.size());
   for (const HybridLit& l : lits) out.push_back(to_lit(l));
   return out;
+}
+
+proof::FmeCert fme_cert(const ArithCertCapture& capture) {
+  proof::FmeCert cert = proof::fme_cert(capture.system, capture.refutation);
+  RTLSAT_ASSERT(capture.vars.size() == cert.vars.size());
+  RTLSAT_ASSERT(capture.row_node.size() == cert.cons.size());
+  for (std::size_t v = 0; v < cert.vars.size(); ++v) {
+    cert.vars[v].is_net = capture.vars[v].is_net;
+    cert.vars[v].id = capture.vars[v].id;
+  }
+  for (std::size_t i = 0; i < cert.cons.size(); ++i)
+    cert.cons[i].node = capture.row_node[i];
+  return cert;
 }
 
 }  // namespace
@@ -129,35 +141,9 @@ void WordProofLogger::commit_learn(std::int64_t clause_id) {
   writer_->learn(clause_id, learn_lits_, learn_steps_, learn_conf_);
 }
 
-proof::FmeCert WordProofLogger::build_fme_cert(
-    const ArithCertCapture& capture) {
-  proof::FmeCert cert;
-  const fme::System& sys = capture.system;
-  RTLSAT_ASSERT(capture.vars.size() == sys.num_vars());
-  RTLSAT_ASSERT(capture.row_node.size() == sys.constraints().size());
-  cert.vars.reserve(sys.num_vars());
-  for (fme::Var v = 0; v < sys.num_vars(); ++v) {
-    const Interval& b = sys.bounds(v);
-    cert.vars.push_back(
-        {capture.vars[v].is_net, capture.vars[v].id, b.lo(), b.hi()});
-  }
-  cert.cons.reserve(sys.constraints().size());
-  for (std::size_t i = 0; i < sys.constraints().size(); ++i) {
-    const fme::LinearConstraint& c = sys.constraints()[i];
-    proof::FmeCertCon con;
-    con.node = capture.row_node[i];
-    for (const fme::Term& t : c.terms) con.terms.push_back({t.var, t.coeff});
-    con.bound = c.bound;
-    cert.cons.push_back(std::move(con));
-  }
-  cert.refutation = fme::certify_unsat(sys);
-  if (!cert.refutation.ok) ++fme_certify_failures_;
-  return cert;
-}
-
 void WordProofLogger::capture_cut(const ArithCertCapture& capture) {
   cut_steps_ = steps_at_or_above(1);
-  cut_fme_ = build_fme_cert(capture);
+  cut_fme_ = fme_cert(capture);
 }
 
 void WordProofLogger::commit_cut(std::int64_t clause_id,
@@ -170,7 +156,7 @@ void WordProofLogger::commit_cut(std::int64_t clause_id,
 
 void WordProofLogger::log_fme0(const ArithCertCapture& capture) {
   sync_level0();
-  writer_->fme0(build_fme_cert(capture));
+  writer_->fme0(fme_cert(capture));
 }
 
 void WordProofLogger::probe_begin(ir::NetId net, bool value) {

@@ -78,17 +78,11 @@ class WordProofLogger {
                   const std::vector<HybridLit>& lits);
   void log_deletions(const ClauseDb& db);
 
-  // FME refutations the certifier could not reconstruct (caps exceeded);
-  // the record is still emitted and the checker will reject it, so this is
-  // the producer-side observability for incomplete certificates.
-  std::int64_t fme_certify_failures() const { return fme_certify_failures_; }
-
  private:
   void sync_level0();
   // Trail events at `level` or deeper, in trail order, as replay steps.
   std::vector<proof::WordStep> steps_at_or_above(std::uint32_t level) const;
   proof::WordConflict engine_conflict() const;
-  proof::FmeCert build_fme_cert(const ArithCertCapture& capture);
 
   const prop::Engine& engine_;
   proof::WordCertWriter* writer_;
@@ -109,8 +103,6 @@ class WordProofLogger {
   std::vector<proof::ProbeWay> probe_ways_;
   std::uint32_t wprobe_net_ = 0;
   std::vector<proof::ProbeCase> wprobe_cases_;
-
-  std::int64_t fme_certify_failures_ = 0;
 };
 
 }  // namespace rtlsat::core

@@ -18,10 +18,16 @@
 //      integer-solvable region); model by back-substitution.
 //   4. otherwise splinter: branch on a variable's interval and recurse —
 //      exact and terminating because all domains are finite.
+//
+// On request the solver also writes out why an UNSAT answer holds: the
+// presolve, point-substitution and real-shadow rows that lead to the
+// contradiction, as a refutation an independent checker can replay
+// (src/proof/word_check). Only UNSAT needs one; the dark shadow and SAT
+// answers never enter it.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "fme/linear.h"
@@ -33,6 +39,48 @@ class Tracer;
 }  // namespace rtlsat::trace
 
 namespace rtlsat::fme {
+
+// Reference into a refutation's axiom/step space.
+struct ProofRef {
+  enum class Kind : std::uint8_t {
+    kConstraint,  // system.constraints()[index]
+    kUpper,       // x_index ≤ hi(index)
+    kLower,       // −x_index ≤ −lo(index)
+    kStep,        // result of an earlier proof step / split hypothesis
+  };
+  Kind kind = Kind::kConstraint;
+  std::uint32_t index = 0;
+};
+
+// One step of a refutation. Steps are listed flat, in derivation order.
+// kComb and kDiv derive a new constraint and get the next sequential step
+// id. kSplit opens a case split on an integer variable: the left branch
+// (var ≤ at) starts immediately and its hypothesis constraint takes the
+// next step id; kCase closes the left branch (which must have reached a
+// contradiction), discards its derivations, and opens the right branch
+// (var ≥ at+1) whose hypothesis again takes the next id; kQed closes the
+// right branch and discharges the split — both cases contradicted means
+// the enclosing scope is contradicted (x ≤ m ∨ x ≥ m+1 is exhaustive over
+// the integers).
+struct CertStep {
+  enum class Kind : std::uint8_t { kComb, kDiv, kSplit, kCase, kQed };
+  Kind kind = Kind::kComb;
+  // kComb: Σ coeff·ref with every coeff > 0; result is a new constraint.
+  std::vector<std::pair<ProofRef, Bound>> combo;
+  // kDiv: divide `div_of` by `divisor` (> 0, must divide every
+  // coefficient exactly), rounding the bound down — sound for integers.
+  ProofRef div_of;
+  Bound divisor = 1;
+  // kSplit: variable and split point (left: var ≤ at, right: var ≥ at+1).
+  Var split_var = 0;
+  Bound split_at = 0;
+};
+
+// A refutation of a System: its steps end the outermost scope with a row
+// 0 ≤ negative bound, or with the kQed of a split whose two cases both do.
+struct Certificate {
+  std::vector<CertStep> steps;
+};
 
 // kUnknown is only ever returned when a stop token fired mid-solve: the
 // system was neither certified SAT nor refuted. Callers must treat it as
@@ -68,8 +116,12 @@ class Solver {
   explicit Solver(SolveOptions options = {}) : options_(options) {}
 
   // Decides the system; on kSat and model != nullptr, *model receives one
-  // integer solution (size = system.num_vars(), in-bounds, verified).
-  Result solve(const System& system, std::vector<std::int64_t>* model);
+  // integer solution (size = system.num_vars(), in-bounds, verified). On
+  // kUnsat and refutation != nullptr, *refutation receives the derivation
+  // of the contradiction. The search is the same either way; without a
+  // refutation to fill the solver records no derivation at all.
+  Result solve(const System& system, std::vector<std::int64_t>* model,
+               Certificate* refutation = nullptr);
 
   // The registry the counters went to (SolveOptions::stats or our own).
   const Stats& stats() const {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "interval/interval.h"
@@ -43,9 +42,9 @@ struct LinearConstraint {
   std::string to_string() const;
 };
 
-// Exact 128-bit integer helpers shared by the solver, the certifier and the
-// offline certificate checker. The divisor must be positive (C++ '/'
-// truncates toward zero; these round toward −∞ / +∞).
+// Exact 128-bit integer helpers shared by the solver and the offline
+// certificate checker. The divisor must be positive (C++ '/' truncates
+// toward zero; these round toward −∞ / +∞).
 inline Bound floor_div(Bound a, Bound b) {
   RTLSAT_ASSERT(b > 0);
   Bound q = a / b;
@@ -58,39 +57,19 @@ inline Bound ceil_div(Bound a, Bound b) {
   if (a % b != 0 && a > 0) ++q;
   return q;
 }
-// Nonnegative gcd; gcd(0, 0) = 0.
-inline Bound gcd(Bound a, Bound b) {
-  if (a < 0) a = -a;
-  if (b < 0) b = -b;
-  while (b != 0) {
-    const Bound r = a % b;
-    a = b;
-    b = r;
-  }
-  return a;
-}
-
-inline std::pair<Bound, Bound> endpoints(const Interval& b) {
-  return {b.lo(), b.hi()};
-}
-inline std::pair<Bound, Bound> endpoints(const std::pair<Bound, Bound>& b) {
-  return b;
-}
 
 // Extreme of Σ coeff·var over the bounds box — the maximum when `maximize`,
-// else the minimum. `terms` holds {var, coeff} pairs (Term or
-// std::pair<Var, Bound>); `box[var]` is an Interval or a {lo, hi} pair.
-// nullopt on 128-bit overflow: callers must then skip whatever test they
-// wanted the extreme for.
-template <class Terms, class Box>
-std::optional<Bound> box_extreme(const Terms& terms, const Box& box,
-                                 bool maximize) {
+// else the minimum. nullopt on 128-bit overflow: callers must then skip
+// whatever test they wanted the extreme for.
+inline std::optional<Bound> box_extreme(const std::vector<Term>& terms,
+                                        const std::vector<Interval>& box,
+                                        bool maximize) {
   Bound acc = 0;
-  for (const auto& [var, coeff] : terms) {
-    const auto [lo, hi] = endpoints(box[var]);
-    const Bound pick = (coeff > 0) == maximize ? hi : lo;
+  for (const Term& t : terms) {
+    const Interval& b = box[t.var];
+    const Bound pick = (t.coeff > 0) == maximize ? b.hi() : b.lo();
     Bound prod = 0;
-    if (__builtin_mul_overflow(static_cast<Bound>(coeff), pick, &prod) ||
+    if (__builtin_mul_overflow(static_cast<Bound>(t.coeff), pick, &prod) ||
         __builtin_add_overflow(acc, prod, &acc))
       return std::nullopt;
   }
@@ -99,8 +78,8 @@ std::optional<Bound> box_extreme(const Terms& terms, const Box& box,
 
 // True when every point of the box satisfies `c`, so the row adds nothing
 // to the box. False when the box maximum overflows 128 bits.
-template <class Box>
-bool box_implied(const LinearConstraint& c, const Box& box) {
+inline bool box_implied(const LinearConstraint& c,
+                        const std::vector<Interval>& box) {
   const std::optional<Bound> max = box_extreme(c.terms, box, true);
   return max.has_value() && *max <= c.bound;
 }

@@ -8,6 +8,8 @@
 #include "fme/linear.h"
 #include "interval/interval.h"
 #include "interval/interval_ops.h"
+#include "proof/word_check.h"
+#include "proof/word_writer.h"
 #include "util/assert.h"
 
 namespace rtlsat::fuzz {
@@ -573,8 +575,17 @@ std::vector<std::string> fuzz_fme(Rng& rng, int iterations) {
 
     fme::Solver solver;
     std::vector<std::int64_t> model;
-    const fme::Result verdict = solver.solve(system, &model);
+    fme::Certificate refutation;
+    const fme::Result verdict = solver.solve(system, &model, &refutation);
     if (verdict == fme::Result::kUnknown) continue;  // only possible on stop
+    if (verdict == fme::Result::kUnsat) {
+      const proof::FmeCheckResult check = proof::check_fme_refutation(
+          proof::fme_json(proof::fme_cert(system, std::move(refutation))));
+      ctx.require(check.ok, "fme_refutation", [&] {
+        return "refutation rejected (" + check.error + ") on\n" +
+               system.to_string();
+      });
+    }
     const bool fme_sat = verdict == fme::Result::kSat;
     ctx.require(fme_sat == truth_sat, "fme_verdict", [&] {
       return std::string(fme_sat ? "SAT" : "UNSAT") + " vs enumerated " +

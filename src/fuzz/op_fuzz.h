@@ -38,8 +38,9 @@ std::vector<std::string> fuzz_interval_ops(Rng& rng, int iterations);
 
 // Random small FME systems (≤ 4 vars, ≤ 6 constraints, coefficients in
 // [−3, 3]) decided both by fme::Solver and by enumerating the variable
-// boxes; verdicts must match and SAT models must satisfy every constraint.
-// Returns violations.
+// boxes; verdicts must match, SAT models must satisfy every constraint,
+// and every UNSAT must come with a refutation that
+// proof::check_fme_refutation accepts. Returns violations.
 std::vector<std::string> fuzz_fme(Rng& rng, int iterations);
 
 }  // namespace rtlsat::fuzz

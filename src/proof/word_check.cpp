@@ -114,6 +114,7 @@ class Checker {
   explicit Checker(const WordCheckOptions& options) : options_(options) {}
 
   WordCheckResult run(std::string_view text);
+  FmeCheckResult check_fme(std::string_view fme_json);
 
  private:
   enum class Stage { kHeader, kNets, kBody, kDone };
@@ -193,6 +194,9 @@ class Checker {
               const WordConflict& conf, bool need_contradiction,
               bool* contradiction);
   bool verify_fme(const FmeData& f, const std::vector<Interval>& s);
+  // Replays the refutation steps with exact arithmetic over the rows and
+  // variable bounds of `f`.
+  bool replay_fme(const FmeData& f);
   bool lookup_clause(std::int64_t id, const std::vector<WordLit>** out);
   bool register_clause(std::int64_t id, std::vector<WordLit> lits);
 
@@ -826,7 +830,11 @@ bool Checker::verify_fme(const FmeData& f, const std::vector<Interval>& s) {
     if (!matched) return row_fail("row does not match the node's encoding");
   }
 
-  // 3. Replay the refutation steps with exact arithmetic.
+  // 3. The refutation itself.
+  return replay_fme(f);
+}
+
+bool Checker::replay_fme(const FmeData& f) {
   struct DCon {
     std::map<std::uint32_t, Int128> terms;  // keyed by fme variable index
     Int128 bound = 0;
@@ -1548,7 +1556,27 @@ WordCheckResult Checker::run(std::string_view text) {
   return result;
 }
 
+FmeCheckResult Checker::check_fme(std::string_view fme_json) {
+  line_ = 1;
+  JsonValue v;
+  std::string parse_error;
+  FmeData fme;
+  FmeCheckResult result;
+  if (!trace::json_parse(fme_json, &v, &parse_error)) {
+    fail("malformed JSON: " + parse_error);
+  } else if (parse_fme(v, &fme) && replay_fme(fme)) {
+    result.ok = true;
+  }
+  result.error = error_;
+  return result;
+}
+
 }  // namespace
+
+FmeCheckResult check_fme_refutation(std::string_view fme_json) {
+  Checker checker(WordCheckOptions{});
+  return checker.check_fme(fme_json);
+}
 
 WordCheckResult word_check(std::string_view certificate,
                            const WordCheckOptions& options) {

@@ -40,4 +40,17 @@ struct WordCheckResult {
 WordCheckResult word_check(std::string_view certificate,
                            const WordCheckOptions& options = {});
 
+struct FmeCheckResult {
+  bool ok = false;
+  std::string error;  // "line 1: …" for the first rejected step
+};
+
+// Replays a bare FME refutation: the "fme" object of a cut or fme0 record
+// ({"vars":…,"cons":…,"steps":…}, as fme_json() writes it) is accepted when
+// its steps derive a contradiction from its rows and variable bounds alone.
+// word_check runs the same replay after it has matched every row to its
+// node's encoding in the replayed circuit state; here the row tags are not
+// looked at.
+FmeCheckResult check_fme_refutation(std::string_view fme_json);
+
 }  // namespace rtlsat::proof

@@ -134,6 +134,30 @@ void write_fme(JsonWriter& w, const FmeCert& fme) {
 
 }  // namespace
 
+FmeCert fme_cert(const fme::System& system, fme::Certificate refutation) {
+  FmeCert cert;
+  cert.vars.reserve(system.num_vars());
+  for (fme::Var v = 0; v < system.num_vars(); ++v) {
+    const Interval& b = system.bounds(v);
+    cert.vars.push_back({false, 0, b.lo(), b.hi()});
+  }
+  cert.cons.reserve(system.constraints().size());
+  for (const fme::LinearConstraint& c : system.constraints()) {
+    FmeCertCon con;
+    for (const fme::Term& t : c.terms) con.terms.push_back({t.var, t.coeff});
+    con.bound = c.bound;
+    cert.cons.push_back(std::move(con));
+  }
+  cert.refutation = std::move(refutation);
+  return cert;
+}
+
+std::string fme_json(const FmeCert& fme) {
+  JsonWriter w;
+  write_fme(w, fme);
+  return w.take();
+}
+
 void WordCertWriter::line(std::string text) {
   out_ += text;
   out_ += '\n';

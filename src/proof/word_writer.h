@@ -18,6 +18,13 @@
 
 namespace rtlsat::proof {
 
+// The FME sub-certificate of a cut or fme0 record for `system` and its
+// refutation. Every variable and row comes out tagged as an auxiliary of
+// node 0; a caller that knows the encoding sets the tags.
+FmeCert fme_cert(const fme::System& system, fme::Certificate refutation);
+// That sub-certificate as the JSON object a cut or fme0 record embeds.
+std::string fme_json(const FmeCert& fme);
+
 class WordCertWriter {
  public:
   void header();

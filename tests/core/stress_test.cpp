@@ -19,6 +19,13 @@ struct StressCase {
   int bound;
 };
 
+// Without a printer gtest shows the case as raw bytes, pointer values
+// included, and ctest copies that text into the test name, so the name
+// would change from one build or run to the next.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << '{' << c.circuit << ", " << c.property << ", " << c.bound << '}';
+}
+
 class StressConfig : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(StressConfig, AggressiveHousekeepingKeepsVerdicts) {

@@ -22,10 +22,6 @@ TEST(FmePrune, BoxExtremeAndImplied) {
   EXPECT_TRUE(box_implied(row, box));
   EXPECT_FALSE(box_implied(LinearConstraint{row.terms, 34}, box));
 
-  // The same test over {lo, hi} pairs, the certifier's box form.
-  const std::vector<std::pair<Bound, Bound>> pairs{{0, 10}, {-3, 4}};
-  EXPECT_TRUE(box_implied(row, pairs));
-
   // Eight terms of 2^62·2^62 sum to 2^127: past the int128 range, so no
   // extreme and never implied, whatever the bound.
   std::vector<Interval> wide(8, Interval(0, kTwo62));
@@ -43,9 +39,6 @@ TEST(FmePrune, SharedIntegerHelpers) {
   EXPECT_EQ(ceil_div(7, 2), 4);
   EXPECT_EQ(ceil_div(-7, 2), -3);
   EXPECT_EQ(ceil_div(8, 2), 4);
-  EXPECT_EQ(gcd(-12, 18), 6);
-  EXPECT_EQ(gcd(0, -5), 5);
-  EXPECT_EQ(gcd(0, 0), 0);
 }
 
 // x, y, z ∈ [0, 10] with x − y ≤ 5, z − x ≤ c, and y − z ≤ 10, z − y ≤ 10

@@ -202,7 +202,9 @@ TEST(WordCertRoundTrip, CertificateStatsFlow) {
   ASSERT_EQ(solver.solve().status, SolveStatus::kUnsat);
   EXPECT_GT(solver.stats().get("proof.records"), 0);
   EXPECT_GT(solver.stats().get("proof.bytes"), 0);
-  EXPECT_EQ(solver.stats().get("proof.fme_certify_failures"), 0);
+  const proof::WordCheckResult check = proof::word_check(writer.str());
+  EXPECT_TRUE(check.ok) << check.error;
+  EXPECT_TRUE(check.refuted);
 }
 
 }  // namespace
