@@ -20,79 +20,18 @@ std::vector<NetId> copy_frame(const ir::SeqCircuit& seq, Circuit& out,
   std::vector<NetId> map(comb.num_nets(), ir::kNoNet);
   for (const auto& [q, value] : state) map[q] = value;
 
+  std::vector<NetId> operands;
   for (NetId id = 0; id < comb.num_nets(); ++id) {
     if (map[id] != ir::kNoNet) continue;  // register output, pre-mapped
     const Node& n = comb.node(id);
-    switch (n.op) {
-      case Op::kInput:
-        map[id] = out.add_input(
-            str_format("%s@%d", comb.net_name(id).c_str(), frame), n.width);
-        break;
-      case Op::kConst:
-        map[id] = out.add_const(n.imm, n.width);
-        break;
-      case Op::kAnd: {
-        std::vector<NetId> ops;
-        for (NetId o : n.operands) ops.push_back(map[o]);
-        map[id] = out.add_and(std::move(ops));
-        break;
-      }
-      case Op::kOr: {
-        std::vector<NetId> ops;
-        for (NetId o : n.operands) ops.push_back(map[o]);
-        map[id] = out.add_or(std::move(ops));
-        break;
-      }
-      case Op::kNot: map[id] = out.add_not(map[n.operands[0]]); break;
-      case Op::kXor:
-        map[id] = out.add_xor(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kMux:
-        map[id] = out.add_mux(map[n.operands[0]], map[n.operands[1]],
-                              map[n.operands[2]]);
-        break;
-      case Op::kAdd:
-        map[id] = out.add_add(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kSub:
-        map[id] = out.add_sub(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kMulC: map[id] = out.add_mulc(map[n.operands[0]], n.imm); break;
-      case Op::kShlC:
-        map[id] = out.add_shl(map[n.operands[0]], static_cast<int>(n.imm));
-        break;
-      case Op::kShrC:
-        map[id] = out.add_shr(map[n.operands[0]], static_cast<int>(n.imm));
-        break;
-      case Op::kNotW: map[id] = out.add_notw(map[n.operands[0]]); break;
-      case Op::kConcat:
-        map[id] = out.add_concat(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kExtract:
-        map[id] = out.add_extract(map[n.operands[0]], static_cast<int>(n.imm),
-                                  static_cast<int>(n.imm2));
-        break;
-      case Op::kZext: map[id] = out.add_zext(map[n.operands[0]], n.width); break;
-      case Op::kMin:
-        map[id] = out.add_min_raw(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kMax:
-        map[id] = out.add_max_raw(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kEq:
-        map[id] = out.add_eq_raw(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kNe:
-        map[id] = out.add_not(out.add_eq_raw(map[n.operands[0]], map[n.operands[1]]));
-        break;
-      case Op::kLt:
-        map[id] = out.add_lt(map[n.operands[0]], map[n.operands[1]]);
-        break;
-      case Op::kLe:
-        map[id] = out.add_le(map[n.operands[0]], map[n.operands[1]]);
-        break;
+    if (n.op == Op::kInput) {
+      map[id] = out.add_input(
+          str_format("%s@%d", comb.net_name(id).c_str(), frame), n.width);
+      continue;
     }
-    RTLSAT_ASSERT(map[id] != ir::kNoNet);
+    operands.clear();
+    for (const NetId o : n.operands) operands.push_back(map[o]);
+    map[id] = out.add_like(n, operands);
   }
   return map;
 }

@@ -55,54 +55,20 @@ NetId rebuild(const Circuit& old, NetId old_goal, const Rewrite* rewrite,
     return id;
   };
 
+  std::vector<NetId> operands;
   auto emit = [&](NetId id) {
     const Node& n = old.node(id);
     if (rewrite != nullptr && rewrite->to_const && id == rewrite->target) {
       map[id] = fresh.add_const(rewrite->const_value, n.width);
       return;
     }
-    auto op = [&](std::size_t i) { return map.at(resolve(n.operands[i])); };
-    NetId out = ir::kNoNet;
-    switch (n.op) {
-      case Op::kInput:
-        out = fresh.add_input(old.net_name(id), n.width);
-        break;
-      case Op::kConst:
-        out = fresh.add_const(n.imm, n.width);
-        break;
-      case Op::kAnd:
-      case Op::kOr: {
-        std::vector<NetId> ops;
-        ops.reserve(n.operands.size());
-        for (std::size_t i = 0; i < n.operands.size(); ++i)
-          ops.push_back(op(i));
-        out = n.op == Op::kAnd ? fresh.add_and(std::move(ops))
-                               : fresh.add_or(std::move(ops));
-        break;
-      }
-      case Op::kNot: out = fresh.add_not(op(0)); break;
-      case Op::kXor: out = fresh.add_xor(op(0), op(1)); break;
-      case Op::kMux: out = fresh.add_mux(op(0), op(1), op(2)); break;
-      case Op::kAdd: out = fresh.add_add(op(0), op(1)); break;
-      case Op::kSub: out = fresh.add_sub(op(0), op(1)); break;
-      case Op::kMulC: out = fresh.add_mulc(op(0), n.imm); break;
-      case Op::kShlC: out = fresh.add_shl(op(0), static_cast<int>(n.imm)); break;
-      case Op::kShrC: out = fresh.add_shr(op(0), static_cast<int>(n.imm)); break;
-      case Op::kNotW: out = fresh.add_notw(op(0)); break;
-      case Op::kConcat: out = fresh.add_concat(op(0), op(1)); break;
-      case Op::kExtract:
-        out = fresh.add_extract(op(0), static_cast<int>(n.imm),
-                                static_cast<int>(n.imm2));
-        break;
-      case Op::kZext: out = fresh.add_zext(op(0), n.width); break;
-      case Op::kMin: out = fresh.add_min_raw(op(0), op(1)); break;
-      case Op::kMax: out = fresh.add_max_raw(op(0), op(1)); break;
-      case Op::kEq: out = fresh.add_eq_raw(op(0), op(1)); break;
-      case Op::kNe: out = fresh.add_ne(op(0), op(1)); break;
-      case Op::kLt: out = fresh.add_lt(op(0), op(1)); break;
-      case Op::kLe: out = fresh.add_le(op(0), op(1)); break;
+    if (n.op == Op::kInput) {
+      map[id] = fresh.add_input(old.net_name(id), n.width);
+      return;
     }
-    map[id] = out;
+    operands.clear();
+    for (const NetId o : n.operands) operands.push_back(map.at(resolve(o)));
+    map[id] = fresh.add_like(n, operands);
   };
 
   const NetId root = resolve(old_goal);

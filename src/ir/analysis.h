@@ -21,9 +21,9 @@ std::vector<std::vector<NetId>> fanouts(const Circuit& circuit);
 std::vector<int> fanout_counts(const Circuit& circuit);
 
 // Transitive fan-in cone of one or more roots (including the roots) — the
-// single dependency-tracking primitive shared by the rebuilder
-// (ir/transform), canonical hashing (ir/cone), the presolve analyzer, and
-// the fuzz reducer. `mask[i]` answers membership in O(1); `members` lists
+// single dependency-tracking primitive shared by cone extraction
+// (ir/transform, which presolve's rewrites run inside), canonical hashing
+// (ir/cone), the presolve analyzer, and the fuzz reducer. `mask[i]` answers membership in O(1); `members` lists
 // the cone in ascending net-id order, which — the builder being append-only
 // — is a topological order (operands before readers).
 struct FaninCone {

@@ -382,6 +382,45 @@ NetId Circuit::add_unchecked(Node node) {
   return id;
 }
 
+NetId Circuit::add_like(const Node& shape, std::span<const NetId> operands) {
+  RTLSAT_ASSERT(operands.size() == shape.operands.size());
+  // Read the shape up front: it may be a node of this circuit, which the
+  // builder calls below can reallocate.
+  const Op op = shape.op;
+  const int w = shape.width;
+  const std::int64_t imm = shape.imm;
+  const std::int64_t imm2 = shape.imm2;
+  auto m = [&](std::size_t i) { return operands[i]; };
+  switch (op) {
+    case Op::kInput: break;
+    case Op::kConst: return add_const(imm, w);
+    case Op::kAnd:
+      return add_and(std::vector<NetId>(operands.begin(), operands.end()));
+    case Op::kOr:
+      return add_or(std::vector<NetId>(operands.begin(), operands.end()));
+    case Op::kNot: return add_not(m(0));
+    case Op::kXor: return add_xor(m(0), m(1));
+    case Op::kMux: return add_mux(m(0), m(1), m(2));
+    case Op::kAdd: return add_add(m(0), m(1));
+    case Op::kSub: return add_sub(m(0), m(1));
+    case Op::kMulC: return add_mulc(m(0), imm);
+    case Op::kShlC: return add_shl(m(0), static_cast<int>(imm));
+    case Op::kShrC: return add_shr(m(0), static_cast<int>(imm));
+    case Op::kNotW: return add_notw(m(0));
+    case Op::kConcat: return add_concat(m(0), m(1));
+    case Op::kExtract: return add_extract(m(0), static_cast<int>(imm),
+                                          static_cast<int>(imm2));
+    case Op::kZext: return add_zext(m(0), w);
+    case Op::kMin: return add_min_raw(m(0), m(1));
+    case Op::kMax: return add_max_raw(m(0), m(1));
+    case Op::kEq: return add_eq_raw(m(0), m(1));
+    case Op::kNe: return add_not(add_eq_raw(m(0), m(1)));
+    case Op::kLt: return add_lt(m(0), m(1));
+    case Op::kLe: return add_le(m(0), m(1));
+  }
+  RTLSAT_UNREACHABLE("add_like: inputs are named by the caller");
+}
+
 void Circuit::set_net_name(NetId id, std::string name) {
   RTLSAT_ASSERT(id < nodes_.size());
   if (!nodes_[id].name.empty()) names_.erase(nodes_[id].name);

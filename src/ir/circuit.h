@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -117,6 +118,15 @@ class Circuit {
   // deliberately malformed netlists to exercise validate()/lint — circuits
   // built this way must be checked before use.
   NetId add_unchecked(Node node);
+
+  // Re-emits a node with `shape`'s op, width and immediates over
+  // `operands` (the images of shape.operands, in order) through the checked
+  // builder above, so its folds and hash-consing apply again; `shape` may
+  // belong to another circuit. This is the one per-op copy: cone
+  // extraction, BMC frame copies, presolve and the fuzz reducer all rebuild
+  // through it. Raw nodes stay raw (kMin/kMax/kEq); kNe re-emits as
+  // not(eq_raw). Inputs are refused — each caller names its own.
+  NetId add_like(const Node& shape, std::span<const NetId> operands);
 
   // Name an already-built net (for debugging/dumps); inputs keep the name
   // given at creation.

@@ -4,146 +4,40 @@
 
 namespace rtlsat::ir {
 
-namespace {
-
-class Rebuilder {
- public:
-  Rebuilder(const Circuit& source, bool rewrite)
-      : source_(source), rewrite_(rewrite) {}
-
-  TransformResult run(const std::vector<NetId>& roots) {
-    TransformResult result;
-    result.circuit.set_name(source_.name());
-    result.net_map.assign(source_.num_nets(), kNoNet);
-    const auto cone = fanin_cone(source_, roots);
-    for (const NetId id : cone.members) {
-      result.net_map[id] = rebuild(result.circuit, id, result.net_map);
-    }
-    // Preserve the names of surviving nets.
-    for (NetId id = 0; id < source_.num_nets(); ++id) {
-      const NetId mapped = result.net_map[id];
-      if (mapped == kNoNet) continue;
-      const std::string& name = source_.node(id).name;
-      if (name.empty()) continue;
-      if (result.circuit.node(mapped).name.empty()) {
-        result.circuit.set_net_name(mapped, name);
-      } else if (result.circuit.find_net(name) == kNoNet) {
-        result.circuit.add_name_alias(name, mapped);
-      }
-    }
-    return result;
-  }
-
- private:
-  NetId rebuild(Circuit& out, NetId id, std::vector<NetId>& map) {
-    const Node& n = source_.node(id);
-    auto m = [&](std::size_t i) { return map[n.operands[i]]; };
-    switch (n.op) {
-      case Op::kInput: return out.add_input(source_.net_name(id), n.width);
-      case Op::kConst: return out.add_const(n.imm, n.width);
-      case Op::kAnd: {
-        std::vector<NetId> ops;
-        for (NetId o : n.operands) ops.push_back(map[o]);
-        return out.add_and(std::move(ops));
-      }
-      case Op::kOr: {
-        std::vector<NetId> ops;
-        for (NetId o : n.operands) ops.push_back(map[o]);
-        return out.add_or(std::move(ops));
-      }
-      case Op::kNot: return out.add_not(m(0));
-      case Op::kXor: return out.add_xor(m(0), m(1));
-      case Op::kMux: return out.add_mux(m(0), m(1), m(2));
-      case Op::kAdd: return out.add_add(m(0), m(1));
-      case Op::kSub: return out.add_sub(m(0), m(1));
-      case Op::kMulC: return out.add_mulc(m(0), n.imm);
-      case Op::kShlC: return out.add_shl(m(0), static_cast<int>(n.imm));
-      case Op::kShrC: return rebuild_shr(out, m(0), static_cast<int>(n.imm));
-      case Op::kNotW: return out.add_notw(m(0));
-      case Op::kConcat: return out.add_concat(m(0), m(1));
-      case Op::kExtract:
-        return rebuild_extract(out, m(0), static_cast<int>(n.imm),
-                               static_cast<int>(n.imm2));
-      case Op::kZext: return out.add_zext(m(0), n.width);
-      case Op::kMin: return out.add_min_raw(m(0), m(1));
-      case Op::kMax: return out.add_max_raw(m(0), m(1));
-      case Op::kEq: return out.add_eq_raw(m(0), m(1));
-      case Op::kNe: return out.add_not(out.add_eq_raw(m(0), m(1)));
-      case Op::kLt: return out.add_lt(m(0), m(1));
-      case Op::kLe: return out.add_le(m(0), m(1));
-    }
-    RTLSAT_UNREACHABLE("unhandled op in rebuild");
-  }
-
-  // extract(x, hi, lo) with rewriting against x's (already rebuilt) node.
-  NetId rebuild_extract(Circuit& out, NetId x, int hi_bit, int lo_bit) {
-    if (rewrite_) {
-      const Node& xn = out.node(x);
-      if (xn.op == Op::kConcat) {
-        const NetId hi_part = xn.operands[0];
-        const NetId lo_part = xn.operands[1];
-        const int lw = out.width(lo_part);
-        if (hi_bit < lw) {  // entirely inside the low part
-          return rebuild_extract(out, lo_part, hi_bit, lo_bit);
-        }
-        if (lo_bit >= lw) {  // entirely inside the high part
-          return rebuild_extract(out, hi_part, hi_bit - lw, lo_bit - lw);
-        }
-      }
-      if (xn.op == Op::kZext) {
-        const NetId inner = xn.operands[0];
-        const int iw = out.width(inner);
-        if (hi_bit < iw) return rebuild_extract(out, inner, hi_bit, lo_bit);
-        if (lo_bit >= iw)  // selecting only the zero padding
-          return out.add_const(0, hi_bit - lo_bit + 1);
-      }
-    }
-    return out.add_extract(x, hi_bit, lo_bit);
-  }
-
-  NetId rebuild_shr(Circuit& out, NetId x, int k) {
-    if (rewrite_ && k > 0) {
-      const Node& xn = out.node(x);
-      if (xn.op == Op::kConcat) {
-        const NetId hi_part = xn.operands[0];
-        const int lw = out.width(xn.operands[1]);
-        if (k == lw) {  // shifting away exactly the low part
-          return out.add_zext(hi_part, out.width(x));
-        }
-      }
-    }
-    return out.add_shr(x, k);
-  }
-
-  const Circuit& source_;
-  const bool rewrite_;
-};
-
-}  // namespace
-
 TransformResult extract_cone(const Circuit& circuit,
-                             const std::vector<NetId>& roots) {
-  return Rebuilder(circuit, /*rewrite=*/false).run(roots);
-}
-
-TransformResult simplify(const Circuit& circuit,
-                         const std::vector<NetId>& roots) {
-  // Rewrite pass first; then a plain cone pass to drop nodes the rewrites
-  // orphaned (e.g. a concat whose only reader collapsed away).
-  TransformResult rewritten = Rebuilder(circuit, /*rewrite=*/true).run(roots);
-  std::vector<NetId> new_roots;
-  for (const NetId r : roots) {
-    RTLSAT_ASSERT(rewritten.net_map[r] != kNoNet);
-    new_roots.push_back(rewritten.net_map[r]);
-  }
-  TransformResult swept =
-      Rebuilder(rewritten.circuit, /*rewrite=*/false).run(new_roots);
+                             const std::vector<NetId>& roots,
+                             const NodeRewrite& rewrite) {
   TransformResult result;
-  result.circuit = std::move(swept.circuit);
-  result.net_map.assign(circuit.num_nets(), kNoNet);
+  Circuit& out = result.circuit;
+  std::vector<NetId>& map = result.net_map;
+  out.set_name(circuit.name());
+  map.assign(circuit.num_nets(), kNoNet);
+  std::vector<NetId> operands;
+  for (const NetId id : fanin_cone(circuit, roots).members) {
+    NetId image = rewrite ? rewrite(out, id, map) : kNoNet;
+    if (image == kNoNet) {
+      const Node& n = circuit.node(id);
+      if (n.op == Op::kInput) {
+        image = out.add_input(circuit.net_name(id), n.width);
+      } else {
+        operands.clear();
+        for (const NetId o : n.operands) operands.push_back(map[o]);
+        image = out.add_like(n, operands);
+      }
+    }
+    map[id] = image;
+  }
+  // Preserve the names of surviving nets.
   for (NetId id = 0; id < circuit.num_nets(); ++id) {
-    const NetId mid = rewritten.net_map[id];
-    if (mid != kNoNet) result.net_map[id] = swept.net_map[mid];
+    const NetId mapped = map[id];
+    if (mapped == kNoNet) continue;
+    const std::string& name = circuit.node(id).name;
+    if (name.empty()) continue;
+    if (out.node(mapped).name.empty()) {
+      out.set_net_name(mapped, name);
+    } else if (out.find_net(name) == kNoNet) {
+      out.add_name_alias(name, mapped);
+    }
   }
   return result;
 }

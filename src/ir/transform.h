@@ -1,14 +1,15 @@
-// Circuit-to-circuit transformations: cone-of-influence extraction and a
-// peephole-rewriting rebuild. Standard BMC preprocessing — the unrolled
+// Cone-of-influence extraction. Standard BMC preprocessing — the unrolled
 // instances carry logic (unobserved outputs, shift tails) that no property
-// depends on, and wiring chains (extract-of-concat from serial registers)
-// that collapse once rebuilt.
+// depends on.
 //
-// Both transforms rebuild through the Circuit builder, so all of its
+// The cone is rebuilt through Circuit::add_like, so all of the builder's
 // canonicalizations (constant folding, hash-consing, operand ordering)
-// re-apply to the surviving logic.
+// re-apply to the surviving logic. Callers with rewrites of their own
+// (presolve's fact rewrites) pass them as a NodeRewrite and inherit the
+// walk and the name-keeping policy.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "ir/circuit.h"
@@ -21,16 +22,17 @@ struct TransformResult {
   std::vector<NetId> net_map;
 };
 
-// Rebuilds only the transitive fan-in cone of `roots`.
-TransformResult extract_cone(const Circuit& circuit,
-                             const std::vector<NetId>& roots);
+// Emits the image in `out` of source net `id`, whose operands are already
+// mapped in `map`, or returns kNoNet to fall back to the plain copy.
+using NodeRewrite =
+    std::function<NetId(Circuit& out, NetId id, const std::vector<NetId>& map)>;
 
-// extract_cone plus local rewrites during the rebuild:
-//   extract entirely inside one side of a concat  → extract of that side
-//   extract of zext inside the original width     → extract of the operand
-//   shr of concat dropping the whole low part     → zext of the high part
-//   concat with a zero-width... (handled by builder folds)
-TransformResult simplify(const Circuit& circuit,
-                         const std::vector<NetId>& roots);
+// Rebuilds only the transitive fan-in cone of `roots`, in net-id order.
+// Inputs keep their names; every other surviving net keeps its name, or
+// gets it as an alias when its image already carries one. `rewrite`, when
+// set, is offered every cone net before the plain copy.
+TransformResult extract_cone(const Circuit& circuit,
+                             const std::vector<NetId>& roots,
+                             const NodeRewrite& rewrite = nullptr);
 
 }  // namespace rtlsat::ir

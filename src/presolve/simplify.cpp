@@ -26,134 +26,75 @@ int bits_for(Interval::Value v) {
   return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(v)));
 }
 
-class FactRebuilder {
- public:
-  FactRebuilder(const Circuit& source, const FactTable& facts,
-                PresolveStats& stats)
-      : source_(source), facts_(facts), stats_(stats) {}
-
-  ir::TransformResult run(const std::vector<NetId>& roots) {
-    ir::TransformResult result;
-    result.circuit.set_name(source_.name());
-    result.net_map.assign(source_.num_nets(), kNoNet);
-    const auto cone = ir::fanin_cone(source_, roots);
-    for (const NetId id : cone.members) {
-      result.net_map[id] = emit(result.circuit, id, result.net_map);
-    }
-    // Preserve the names of surviving nets (same policy as ir/transform).
-    for (NetId id = 0; id < source_.num_nets(); ++id) {
-      const NetId mapped = result.net_map[id];
-      if (mapped == kNoNet) continue;
-      const std::string& name = source_.node(id).name;
-      if (name.empty()) continue;
-      if (result.circuit.node(mapped).name.empty()) {
-        result.circuit.set_net_name(mapped, name);
-      } else if (result.circuit.find_net(name) == kNoNet) {
-        result.circuit.add_name_alias(name, mapped);
-      }
-    }
-    return result;
+// The fact-driven rewrites of one cone net, for ir::extract_cone; kNoNet
+// leaves the net to the plain copy.
+NetId fact_rewrite(const Circuit& source, const FactTable& facts,
+                   PresolveStats& stats, Circuit& out, NetId id,
+                   const std::vector<NetId>& map) {
+  const Node& n = source.node(id);
+  // Constant substitution. Never for inputs (their range is never a
+  // point) nor for literals (no win to count).
+  if (n.op != Op::kInput && n.op != Op::kConst && facts.is_const(id)) {
+    if (ir::is_comparator(n.op)) ++stats.comparators_reduced;
+    else ++stats.nets_constant;
+    return out.add_const(facts.const_value(id), n.width);
   }
-
- private:
-  NetId emit(Circuit& out, NetId id, std::vector<NetId>& map) {
-    const Node& n = source_.node(id);
-    // Constant substitution. Never for inputs (their range is never a
-    // point) nor for literals (no win to count).
-    if (n.op != Op::kInput && n.op != Op::kConst && facts_.is_const(id)) {
-      if (ir::is_comparator(n.op)) ++stats_.comparators_reduced;
-      else ++stats_.nets_constant;
-      return out.add_const(facts_.const_value(id), n.width);
+  auto m = [&](std::size_t i) { return map[n.operands[i]]; };
+  auto range = [&](std::size_t i) -> const Interval& {
+    return facts.range[n.operands[i]];
+  };
+  switch (n.op) {
+    case Op::kMux: {
+      const Interval& sel = range(0);
+      if (sel.is_point()) {  // dead-arm collapse: forward the live arm
+        ++stats.mux_arms_removed;
+        return sel.lo() == 1 ? m(1) : m(2);
+      }
+      return kNoNet;
     }
-    auto m = [&](std::size_t i) { return map[n.operands[i]]; };
-    auto range = [&](std::size_t i) -> const Interval& {
-      return facts_.range[n.operands[i]];
-    };
-    switch (n.op) {
-      case Op::kInput: return out.add_input(source_.net_name(id), n.width);
-      case Op::kConst: return out.add_const(n.imm, n.width);
-      case Op::kAnd: {
-        std::vector<NetId> ops;
-        for (NetId o : n.operands) ops.push_back(map[o]);
-        return out.add_and(std::move(ops));
+    case Op::kAdd: {
+      // Width narrowing: operands and the exact sum provably fit k < w
+      // bits, so the wrap cannot fire and the carry chain shortens to k.
+      const int k = bits_for(range(0).hi() + range(1).hi());
+      if (k < n.width) {
+        stats.width_bits_shaved += n.width - k;
+        return out.add_zext(
+            out.add_add(out.add_trunc(m(0), k), out.add_trunc(m(1), k)),
+            n.width);
       }
-      case Op::kOr: {
-        std::vector<NetId> ops;
-        for (NetId o : n.operands) ops.push_back(map[o]);
-        return out.add_or(std::move(ops));
-      }
-      case Op::kNot: return out.add_not(m(0));
-      case Op::kXor: return out.add_xor(m(0), m(1));
-      case Op::kMux: {
-        const Interval& sel = range(0);
-        if (sel.is_point()) {  // dead-arm collapse: forward the live arm
-          ++stats_.mux_arms_removed;
-          return sel.lo() == 1 ? m(1) : m(2);
-        }
-        return out.add_mux(m(0), m(1), m(2));
-      }
-      case Op::kAdd: {
-        // Width narrowing: operands and the exact sum provably fit k < w
-        // bits, so the wrap cannot fire and the carry chain shortens to k.
-        const int k = bits_for(range(0).hi() + range(1).hi());
+      return kNoNet;
+    }
+    case Op::kSub: {
+      // Exact (borrow-free) iff x ≥ y always; then the result fits x's
+      // proven bits.
+      if (range(0).lo() >= range(1).hi()) {
+        const int k = bits_for(range(0).hi());
         if (k < n.width) {
-          stats_.width_bits_shaved += n.width - k;
+          stats.width_bits_shaved += n.width - k;
           return out.add_zext(
-              out.add_add(out.add_trunc(m(0), k), out.add_trunc(m(1), k)),
+              out.add_sub(out.add_trunc(m(0), k), out.add_trunc(m(1), k)),
               n.width);
         }
-        return out.add_add(m(0), m(1));
       }
-      case Op::kSub: {
-        // Exact (borrow-free) iff x ≥ y always; then the result fits x's
-        // proven bits.
-        if (range(0).lo() >= range(1).hi()) {
-          const int k = bits_for(range(0).hi());
-          if (k < n.width) {
-            stats_.width_bits_shaved += n.width - k;
-            return out.add_zext(
-                out.add_sub(out.add_trunc(m(0), k), out.add_trunc(m(1), k)),
-                n.width);
-          }
-        }
-        return out.add_sub(m(0), m(1));
-      }
-      case Op::kMulC: {
-        if (n.imm >= 1) {
-          const Interval::Value prod = sat_mul(range(0).hi(), n.imm);
-          if (!endpoint_saturated(prod)) {
-            const int k = bits_for(prod);
-            if (k < n.width) {
-              stats_.width_bits_shaved += n.width - k;
-              return out.add_zext(out.add_mulc(out.add_trunc(m(0), k), n.imm),
-                                  n.width);
-            }
-          }
-        }
-        return out.add_mulc(m(0), n.imm);
-      }
-      case Op::kShlC: return out.add_shl(m(0), static_cast<int>(n.imm));
-      case Op::kShrC: return out.add_shr(m(0), static_cast<int>(n.imm));
-      case Op::kNotW: return out.add_notw(m(0));
-      case Op::kConcat: return out.add_concat(m(0), m(1));
-      case Op::kExtract:
-        return out.add_extract(m(0), static_cast<int>(n.imm),
-                               static_cast<int>(n.imm2));
-      case Op::kZext: return out.add_zext(m(0), n.width);
-      case Op::kMin: return out.add_min_raw(m(0), m(1));
-      case Op::kMax: return out.add_max_raw(m(0), m(1));
-      case Op::kEq: return out.add_eq_raw(m(0), m(1));
-      case Op::kNe: return out.add_not(out.add_eq_raw(m(0), m(1)));
-      case Op::kLt: return out.add_lt(m(0), m(1));
-      case Op::kLe: return out.add_le(m(0), m(1));
+      return kNoNet;
     }
-    RTLSAT_UNREACHABLE("unhandled op in presolve emit");
+    case Op::kMulC: {
+      if (n.imm >= 1) {
+        const Interval::Value prod = sat_mul(range(0).hi(), n.imm);
+        if (!endpoint_saturated(prod)) {
+          const int k = bits_for(prod);
+          if (k < n.width) {
+            stats.width_bits_shaved += n.width - k;
+            return out.add_zext(out.add_mulc(out.add_trunc(m(0), k), n.imm),
+                                n.width);
+          }
+        }
+      }
+      return kNoNet;
+    }
+    default: return kNoNet;
   }
-
-  const Circuit& source_;
-  const FactTable& facts_;
-  PresolveStats& stats_;
-};
+}
 
 }  // namespace
 
@@ -174,8 +115,11 @@ SimplifyResult simplify(const ir::Circuit& circuit,
   SimplifyResult result;
   // Fact-driven rewrite pass, then a plain cone pass to drop the nodes the
   // rewrites orphaned (e.g. a comparator whose only reader collapsed).
-  ir::TransformResult rewritten =
-      FactRebuilder(circuit, facts, result.stats).run(roots);
+  ir::TransformResult rewritten = ir::extract_cone(
+      circuit, roots,
+      [&](Circuit& out, NetId id, const std::vector<NetId>& map) {
+        return fact_rewrite(circuit, facts, result.stats, out, id, map);
+      });
   std::vector<ir::NetId> new_roots;
   for (const ir::NetId r : roots) {
     RTLSAT_ASSERT(rewritten.net_map[r] != kNoNet);

@@ -1,9 +1,9 @@
 // Equivalence-preserving netlist simplification driven by analyzer facts.
 //
-// simplify() rebuilds the fan-in cone of the requested roots through the
-// checked builder (hash-consing and constant folding cascade the wins,
-// exactly like ir/transform's peephole pass), applying four fact-driven
-// rewrites:
+// simplify() rebuilds the fan-in cone of the requested roots with
+// ir::extract_cone (hash-consing and constant folding in the checked
+// builder cascade the wins), applying four fact-driven rewrites; every
+// other net is the plain Circuit::add_like copy:
 //
 //  * constant substitution — a non-source net whose unconditioned range is
 //    a point becomes a literal;

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <limits>
+
 #include "trace/json.h"
 
 namespace rtlsat::serve {
@@ -27,6 +29,26 @@ std::int64_t get_int(const JsonValue& obj, const char* key,
   const JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_number()) return fallback;
   return v->exact_integer ? v->integer : static_cast<std::int64_t>(v->number);
+}
+
+// An int field: `fallback` when absent or not a number; false when the
+// number does not fit in int, so the caller rejects the request rather than
+// answering for a truncated value.
+bool get_int_field(const JsonValue& obj, const char* key, int fallback,
+                   int* out) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_number()) {
+    *out = fallback;
+    return true;
+  }
+  constexpr int kLo = std::numeric_limits<int>::min();
+  constexpr int kHi = std::numeric_limits<int>::max();
+  if (v->exact_integer ? (v->integer < kLo || v->integer > kHi)
+                       : !(v->number >= kLo && v->number <= kHi))
+    return false;
+  *out = v->exact_integer ? static_cast<int>(v->integer)
+                          : static_cast<int>(v->number);
+  return true;
 }
 
 bool get_bool(const JsonValue& obj, const char* key, bool fallback) {
@@ -112,9 +134,8 @@ bool parse_request(const std::string& json, Request* out, std::string* error) {
       // ignored when present).
       if (!get_string(doc, "property", &s.property))
         return fail(error, "bmc solve missing string \"property\"");
-      s.bound = static_cast<int>(get_int(doc, "bound", 0));
-      if (s.bound < 1)
-        return fail(error, "bmc solve missing positive \"bound\"");
+      if (!get_int_field(doc, "bound", 0, &s.bound) || s.bound < 1)
+        return fail(error, "bmc solve needs a positive int \"bound\"");
       s.cumulative = get_bool(doc, "cumulative", false);
       get_string(doc, "rtl", &s.rtl);
       get_string(doc, "goal", &s.goal);
@@ -126,7 +147,8 @@ bool parse_request(const std::string& json, Request* out, std::string* error) {
     }
     s.value = get_bool(doc, "value", true);
     s.budget_seconds = get_number(doc, "budget_s", 0);
-    s.jobs = static_cast<int>(get_int(doc, "jobs", 0));
+    if (!get_int_field(doc, "jobs", 0, &s.jobs))
+      return fail(error, "solve \"jobs\" does not fit in int");
     s.deterministic = get_bool(doc, "deterministic", false);
     s.use_cache = get_bool(doc, "cache", true);
     s.use_bank = get_bool(doc, "bank", true);

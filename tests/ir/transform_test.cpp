@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bmc/unroll.h"
-#include "itc99/itc99.h"
-#include "util/rng.h"
 
 namespace rtlsat::ir {
 namespace {
@@ -31,90 +28,6 @@ TEST(ExtractCone, PreservesNames) {
   const auto result = extract_cone(c, {s});
   EXPECT_NE(result.circuit.find_net("alpha"), kNoNet);
   EXPECT_NE(result.circuit.find_net("succ"), kNoNet);
-}
-
-TEST(Simplify, ExtractOfConcatCollapses) {
-  Circuit c("t");
-  const NetId hi = c.add_input("hi", 4);
-  const NetId lo = c.add_input("lo", 4);
-  const NetId cat = c.add_concat(hi, lo);
-  const NetId low_field = c.add_extract(cat, 3, 1);   // inside lo
-  const NetId high_field = c.add_extract(cat, 7, 4);  // exactly hi
-  const auto result = simplify(c, {low_field, high_field});
-  // The high field maps straight to the hi input; the concat is dead.
-  EXPECT_EQ(result.net_map[high_field], result.net_map[hi]);
-  for (NetId id = 0; id < result.circuit.num_nets(); ++id)
-    EXPECT_NE(result.circuit.node(id).op, Op::kConcat);
-}
-
-TEST(Simplify, ExtractOfZextPadding) {
-  Circuit c("t");
-  const NetId x = c.add_input("x", 4);
-  const NetId z = c.add_zext(x, 8);
-  const NetId pad = c.add_extract(z, 7, 5);   // all padding: constant 0
-  const NetId body = c.add_extract(z, 2, 1);  // inside x
-  const auto result = simplify(c, {pad, body});
-  EXPECT_EQ(result.circuit.node(result.net_map[pad]).op, Op::kConst);
-  EXPECT_EQ(result.circuit.node(result.net_map[pad]).imm, 0);
-}
-
-TEST(Simplify, ShrOfConcatDropsLowPart) {
-  Circuit c("t");
-  const NetId hi = c.add_input("hi", 4);
-  const NetId lo = c.add_input("lo", 4);
-  const NetId cat = c.add_concat(hi, lo);
-  const NetId shifted = c.add_shr(cat, 4);
-  const auto result = simplify(c, {shifted});
-  EXPECT_EQ(result.circuit.node(result.net_map[shifted]).op, Op::kZext);
-}
-
-TEST(Simplify, SemanticsPreservedOnRandomCircuits) {
-  Rng rng(5150);
-  for (int iter = 0; iter < 25; ++iter) {
-    Circuit c("rand");
-    std::vector<NetId> words;
-    for (int i = 0; i < 2; ++i)
-      words.push_back(c.add_input("w" + std::to_string(i), 6));
-    for (int step = 0; step < 15; ++step) {
-      const NetId a = words[rng.below(words.size())];
-      const NetId b = words[rng.below(words.size())];
-      switch (rng.below(6)) {
-        case 0: words.push_back(c.add_add(a, b)); break;
-        case 1:
-          words.push_back(c.add_concat(c.add_extract(a, 3, 0),
-                                       c.add_extract(b, 1, 0)));
-          break;
-        case 2: words.push_back(c.add_zext(c.add_extract(a, 4, 2), 6)); break;
-        case 3: words.push_back(c.add_shr(a, 2)); break;
-        case 4: words.push_back(c.add_sub(a, b)); break;
-        case 5: words.push_back(c.add_notw(a)); break;
-      }
-    }
-    const NetId root = words.back();
-    const auto result = simplify(c, {root});
-    const NetId new_root = result.net_map[root];
-    ASSERT_NE(new_root, kNoNet);
-    for (int s = 0; s < 10; ++s) {
-      std::unordered_map<NetId, std::int64_t> in_old, in_new;
-      for (const NetId in : c.inputs()) {
-        const std::int64_t v = rng.range(0, 63);
-        in_old[in] = v;
-        in_new[result.circuit.find_net(c.net_name(in))] = v;
-      }
-      EXPECT_EQ(c.evaluate(in_old)[root],
-                result.circuit.evaluate(in_new)[new_root]);
-    }
-  }
-}
-
-TEST(Simplify, ShrinksUnrolledB13) {
-  // The serial shift register's unrolled concat/shr chains collapse.
-  const auto seq = itc99::build("b13");
-  const auto instance = bmc::unroll(seq, "1", 20);
-  const auto before = instance.circuit.op_counts();
-  const auto result = simplify(instance.circuit, {instance.goal});
-  const auto after = result.circuit.op_counts();
-  EXPECT_LT(after.arith + after.boolean, before.arith + before.boolean);
 }
 
 }  // namespace

@@ -95,6 +95,36 @@ TEST(Protocol, ParseRequestRejectsGarbage) {
   EXPECT_FALSE(parse_request("{\"type\":\"solve\"}", &parsed, &error));
 }
 
+// A bound or jobs count that does not fit in int is refused, never narrowed:
+// 2^32+1 would otherwise read as 1 and answer a different problem.
+TEST(Protocol, RejectsIntFieldsOutOfRange) {
+  const auto bmc = [](const std::string& bound) {
+    return "{\"type\":\"solve\",\"seq_rtl\":\"(seq-circuit s)\","
+           "\"property\":\"p\",\"bound\":" + bound + "}";
+  };
+  const auto jobs = [](const std::string& n) {
+    return "{\"type\":\"solve\",\"rtl\":\"(circuit c)\",\"goal\":\"g\","
+           "\"jobs\":" + n + "}";
+  };
+  Request parsed;
+  std::string error;
+  for (const char* bad : {"4294967297", "2147483648", "-1"}) {
+    error.clear();
+    EXPECT_FALSE(parse_request(bmc(bad), &parsed, &error)) << bad;
+    EXPECT_NE(error.find("bound"), std::string::npos) << bad;
+  }
+  for (const char* bad : {"4294967297", "2147483648", "-2147483649"}) {
+    error.clear();
+    EXPECT_FALSE(parse_request(jobs(bad), &parsed, &error)) << bad;
+    EXPECT_NE(error.find("jobs"), std::string::npos) << bad;
+  }
+  // In range: accepted as given (jobs ≤ 0 means the server default).
+  ASSERT_TRUE(parse_request(bmc("2147483647"), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.solve.bound, 2147483647);
+  ASSERT_TRUE(parse_request(jobs("-1"), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.solve.jobs, -1);
+}
+
 // ---------------------------------------------------------------------------
 // Server frame round-trips
 
